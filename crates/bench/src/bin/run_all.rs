@@ -3,18 +3,29 @@
 //!
 //! Pass `--scale <f>` to override the per-experiment default scales with a
 //! single global factor (applied to the paper's dataset sizes). Pass
-//! `--json` to also persist every printed table as `BENCH_<n>.json` in the
-//! current directory (`--bench-id <n>`, default 6) — the machine-readable
-//! bench trajectory described in the crate docs.
+//! `--json --bench-id <n>` to also persist every printed table as
+//! `BENCH_<n>.json` in the current directory — the machine-readable bench
+//! trajectory described in the crate docs. The id has no default, so a
+//! snapshot never silently overwrites a committed one: `--json` without a
+//! valid `--bench-id` exits with status 2 before running anything.
 
 use cij_bench::Args;
 use cij_bench::{experiments, report};
 
 fn main() {
     let args = Args::capture();
-    let json = args.has("json");
-    let bench_id: u64 = args.get("bench-id", 6);
-    if json {
+    // The snapshot id, when `--json` asks for one.
+    let snapshot = match (args.has("json"), args.value::<u64>("bench-id")) {
+        (false, _) => None,
+        (true, Some(id)) => Some(id),
+        (true, None) => {
+            eprintln!(
+                "run_all: --json needs an explicit --bench-id <n> (it writes BENCH_<n>.json)"
+            );
+            std::process::exit(2);
+        }
+    };
+    if snapshot.is_some() {
         report::enable();
     }
     let forward = |default: f64| -> Args {
@@ -41,7 +52,7 @@ fn main() {
     experiments::kernel_layout::run(&forward(0.02));
     experiments::concurrent_scale::run(&forward(0.02));
     experiments::fault_storm::run(&forward(0.02));
-    if json {
+    if let Some(bench_id) = snapshot {
         let report = report::take().expect("recording was enabled");
         let path = format!("BENCH_{bench_id}.json");
         std::fs::write(&path, report.to_json(bench_id)).expect("write bench snapshot");

@@ -19,9 +19,10 @@
 //! [`report`] sink mirrors [`util::print_header`] / [`util::print_row`] —
 //! all experiments share the one writer) and persists the run as
 //! `BENCH_<n>.json` at the repository root, where `n` is the PR number
-//! (`--bench-id`, default 6). One snapshot is committed per PR that touches
-//! performance, so the repo history carries a machine-readable trajectory
-//! of the harness results alongside the code that produced them.
+//! (`--bench-id <n>`, required with `--json`). One snapshot is committed
+//! per PR that touches performance, so the repo history carries a
+//! machine-readable trajectory of the harness results alongside the code
+//! that produced them.
 //!
 //! The schema maps each experiment to rows of named metrics:
 //!

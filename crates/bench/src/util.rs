@@ -24,15 +24,20 @@ impl Args {
         Args { raw }
     }
 
-    /// Reads `--name <value>` as a parsed value, falling back to `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+    /// Reads `--name <value>` as a parsed value; `None` when the flag is
+    /// absent or its value does not parse.
+    pub fn value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
         let key = format!("--{name}");
         self.raw
             .iter()
             .position(|a| a == &key)
             .and_then(|i| self.raw.get(i + 1))
             .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    }
+
+    /// Reads `--name <value>` as a parsed value, falling back to `default`.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.value(name).unwrap_or(default)
     }
 
     /// Whether a bare `--name` flag is present.

@@ -16,7 +16,16 @@
 //! 3. a non-leaf entry `e` that misses every polygon is pruned when, for each
 //!    polygon `T`, some candidate `p ∈ CP` exists with `T ⊆ Φ(L, p)` for all
 //!    sides `L` of `e` (Lemma 3), because then no point under `e` can have a
-//!    cell reaching `T`.
+//!    cell reaching `T`. Each `T ⊆ Φ(L, p)` test is a loop over `T`'s
+//!    vertices; an O(1) certificate decides most of them first. Every
+//!    filter call puts a disc `(c, r)` around each polygon
+//!    ([`ShieldCircle`]), and `p` shields `T` from `e` without the loops
+//!    when `(|p − c| + r)·(1 + δ) < mindist(e, c) − r` (less a scale
+//!    margin): every location of `T` is then strictly closer to `p` than to
+//!    any side of `e`. Φ's `+EPS` tolerance only widens the region, so it
+//!    can only help. The certificate only ever answers what the loops
+//!    would, so candidates, statistics and page accesses are unchanged;
+//!    `δ` and the soundness argument are in [`cij_geom::prune`].
 //!
 //! Entries are visited in ascending distance from the centroid of the
 //! polygons (best-first), so nearby points enter `CP` early and shield the
@@ -59,10 +68,12 @@
 //! [`FilterKernel::Indexed`]: crate::config::FilterKernel::Indexed
 
 use crate::config::FilterKernel;
-use cij_geom::{ClipScratch, ConvexPolygon, Point, PointGrid, Rect, RectGrid};
+use cij_geom::{
+    bisector_cuts, cell_reach_sq, rect_within_phi_certified, ClipScratch, ConvexPolygon, Point,
+    PointGrid, Rect, RectGrid, ShieldCircle,
+};
 use cij_pagestore::PageId;
 use cij_rtree::{LeafLayout, MinDistHeap, MinHeapItem, Node, NodeArena, NodeReader, PointObject};
-use cij_voronoi::{bisector_cuts, cell_reach_sq};
 
 enum HeapEntry {
     Node { page: PageId, mbr: Rect },
@@ -153,9 +164,10 @@ impl FilterOptions {
     }
 }
 
-/// Reusable per-worker scratch of the SoA filter path: the node decode
-/// arena, the polygon clipping ping-pong buffers and the approximate-cell
-/// working polygon. Allocate one per worker, reuse it across every filter
+/// Reusable per-worker scratch of the filter: the node decode arena, the
+/// polygon clipping ping-pong buffers and the approximate-cell working
+/// polygon of the SoA path, and — for both layouts — the probe polygons'
+/// shield circles. Allocate one per worker, reuse it across every filter
 /// invocation the worker issues; contents between calls are unspecified.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
@@ -165,6 +177,9 @@ pub struct FilterScratch {
     pub clip: ClipScratch,
     /// The working approximate cell of the currently examined point.
     pub cell: ConvexPolygon,
+    /// One [`ShieldCircle`] per non-empty probe polygon, for the Lemma-3
+    /// certificate of the shield test.
+    pub circles: Vec<ShieldCircle>,
 }
 
 impl FilterScratch {
@@ -257,6 +272,16 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
     // Bounding boxes of the polygons, for the cheap "does e intersect some T"
     // test that forbids pruning.
     let poly_bboxes: Vec<Rect> = usable.iter().map(|t| t.bbox()).collect();
+
+    // A disc around each polygon: the O(1) certificate in front of the
+    // shield test's Lemma-3 vertex loops.
+    scratch.circles.clear();
+    scratch.circles.extend(
+        usable
+            .iter()
+            .zip(&poly_bboxes)
+            .map(|(t, bb)| ShieldCircle::around(t, bb)),
+    );
 
     // Seed polygon of every approximate cell: the whole domain, or — with
     // `bound_cells` — the padded union bbox of the probe polygons (every
@@ -388,7 +413,7 @@ pub fn batch_conditional_filter_scratch<T: NodeReader<PointObject>>(
                         })
                     }
                 };
-                if !touches_some_poly && is_shielded(&mbr, &usable, &candidates) {
+                if !touches_some_poly && is_shielded(&mbr, &usable, &scratch.circles, &candidates) {
                     stats.entries_pruned += 1;
                     continue;
                 }
@@ -647,17 +672,25 @@ fn any_indexed(
 /// Whether every polygon is shielded from the entry `mbr` by some candidate:
 /// for each polygon `T` there is a `p ∈ candidates` such that `T` falls in
 /// `Φ(L, p)` for every side `L` of the entry (Lemma 3 applied per side).
-fn is_shielded(mbr: &Rect, polys: &[&ConvexPolygon], candidates: &[PointObject]) -> bool {
+///
+/// `circles` are the polygons' [`ShieldCircle`]s: the entry's clearance is
+/// computed once per polygon, each candidate's reach once per polygon, and
+/// a candidate whose reach is below the clearance shields the polygon
+/// without the vertex loops.
+fn is_shielded(
+    mbr: &Rect,
+    polys: &[&ConvexPolygon],
+    circles: &[ShieldCircle],
+    candidates: &[PointObject],
+) -> bool {
     if candidates.is_empty() {
         return false;
     }
-    let sides = mbr.sides();
-    polys.iter().all(|t| {
-        candidates.iter().any(|p| {
-            sides
-                .iter()
-                .all(|l| cij_geom::polygon_within_phi(l, &p.point, t))
-        })
+    polys.iter().zip(circles).all(|(t, circle)| {
+        let clearance = circle.clearance(mbr);
+        candidates
+            .iter()
+            .any(|p| rect_within_phi_certified(mbr, &p.point, t, circle.reach(&p.point), clearance))
     })
 }
 
@@ -815,9 +848,10 @@ mod tests {
     fn shield_test_requires_candidates() {
         let mbr = Rect::from_coords(9_000.0, 9_000.0, 9_100.0, 9_100.0);
         let t = ConvexPolygon::from_rect(&Rect::from_coords(0.0, 0.0, 100.0, 100.0));
-        assert!(!is_shielded(&mbr, &[&t], &[]));
+        let circles = [ShieldCircle::around(&t, &t.bbox())];
+        assert!(!is_shielded(&mbr, &[&t], &circles, &[]));
         let shield = PointObject::new(0, Point::new(4_000.0, 4_000.0));
-        assert!(is_shielded(&mbr, &[&t], &[shield]));
+        assert!(is_shielded(&mbr, &[&t], &circles, &[shield]));
     }
 
     #[test]

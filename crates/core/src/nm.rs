@@ -166,6 +166,9 @@ pub(crate) fn nm_cij_keep_cache(
 pub(crate) struct UnitScratch {
     pub(crate) vor: VorScratch,
     pub(crate) filter: FilterScratch,
+    /// Bounding boxes of one leaf's candidate cells, computed once per leaf
+    /// by the pair-reporting step.
+    pub(crate) p_bboxes: Vec<Rect>,
 }
 
 impl UnitScratch {
@@ -174,6 +177,7 @@ impl UnitScratch {
         UnitScratch {
             vor: VorScratch::for_budget(node_byte_budget),
             filter: FilterScratch::for_budget(node_byte_budget),
+            p_bboxes: Vec::new(),
         }
     }
 }
@@ -535,6 +539,7 @@ impl<'a> NmPairIter<'a> {
             &cells_q,
             &candidates,
             &cells_p,
+            &mut self.scratch.p_bboxes,
             &mut true_hits,
             |p, q| {
                 self.pending.push_back((p, q));
@@ -779,20 +784,22 @@ impl<'a> NmPairIter<'a> {
 
         // Phase 5 (parallel): pair reporting — the same kernel as the
         // sequential path, so per-leaf pair order is identical.
-        let reported: Vec<(Vec<(u64, u64)>, u64)> = run_ordered(workers, scans.len(), |i| {
-            let scan = &scans[i];
-            let mut pairs: Vec<(u64, u64)> = Vec::new();
-            let mut true_hits: HashSet<u64> = HashSet::new();
-            report_leaf_pairs(
-                &scan.group,
-                &scan.cells_q,
-                &scan.candidates,
-                &resolved[i],
-                &mut true_hits,
-                |p, q| pairs.push((p, q)),
-            );
-            (pairs, true_hits.len() as u64)
-        });
+        let reported: Vec<(Vec<(u64, u64)>, u64)> =
+            run_ordered_scratch(workers, scans.len(), Vec::new, |i, p_bboxes| {
+                let scan = &scans[i];
+                let mut pairs: Vec<(u64, u64)> = Vec::new();
+                let mut true_hits: HashSet<u64> = HashSet::new();
+                report_leaf_pairs(
+                    &scan.group,
+                    &scan.cells_q,
+                    &scan.candidates,
+                    &resolved[i],
+                    p_bboxes,
+                    &mut true_hits,
+                    |p, q| pairs.push((p, q)),
+                );
+                (pairs, true_hits.len() as u64)
+            });
 
         // Phase 6 (coordinator, leaf order): settle each leaf's deferred
         // read accounting — metered replays the page-access traces through
@@ -857,19 +864,24 @@ impl<'a> NmPairIter<'a> {
 /// walks `group × candidates` in order, emits every pair whose exact cells
 /// intersect through `emit` and records the distinct joining `P` ids in
 /// `true_hits` (the Figure 10 false-hit-ratio numerator). `cells_q` and
-/// `cells_p` are aligned with `group` and `candidates` respectively.
+/// `cells_p` are aligned with `group` and `candidates` respectively; the
+/// candidate cells' bounding boxes are computed once per leaf into the
+/// caller's `p_bboxes` buffer.
 fn report_leaf_pairs(
     group: &[PointObject],
     cells_q: &[ConvexPolygon],
     candidates: &[PointObject],
     cells_p: &[ConvexPolygon],
+    p_bboxes: &mut Vec<Rect>,
     true_hits: &mut HashSet<u64>,
     mut emit: impl FnMut(u64, u64),
 ) {
+    p_bboxes.clear();
+    p_bboxes.extend(cells_p.iter().map(ConvexPolygon::bbox));
     for (q_obj, q_cell) in group.iter().zip(cells_q) {
         let q_bbox = q_cell.bbox();
-        for (p_obj, p_cell) in candidates.iter().zip(cells_p) {
-            if p_cell.bbox().intersects(&q_bbox) && p_cell.intersects(q_cell) {
+        for ((p_obj, p_cell), p_bbox) in candidates.iter().zip(cells_p).zip(p_bboxes.iter()) {
+            if p_bbox.intersects(&q_bbox) && p_cell.intersects(q_cell) {
                 true_hits.insert(p_obj.id.0);
                 emit(p_obj.id.0, q_obj.id.0);
             }

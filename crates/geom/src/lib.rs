@@ -16,6 +16,8 @@
 //! * [`ConvexPolygon`] convex polygons with halfplane clipping — the
 //!   representation of Voronoi cells (Eq. 2),
 //! * the Φ(L, p) region predicate of Section IV-A (Lemma 3),
+//! * the [`prune`] predicates of Lemmas 1–3 behind their O(1) reach and
+//!   shield-circle certificates,
 //! * a [`hilbert`] space-filling curve used for bulk-loading and for the
 //!   Hilbert-ordered traversals of Section III-C,
 //! * uniform-[`grid`] spatial bucketing ([`PointGrid`] ring queries,
@@ -34,6 +36,7 @@ pub mod hilbert;
 pub mod phi;
 pub mod point;
 pub mod polygon;
+pub mod prune;
 pub mod rect;
 pub mod segment;
 
@@ -42,6 +45,10 @@ pub use halfplane::HalfPlane;
 pub use phi::{phi_contains_point, polygon_within_phi, rect_within_phi_all_sides};
 pub use point::Point;
 pub use polygon::{ClipScratch, ConvexPolygon};
+pub use prune::{
+    beyond_reach, bisector_cuts, bisector_cuts_certified, can_refine, can_refine_certified,
+    cell_reach_sq, rect_within_phi_certified, ShieldCircle, CERT_MARGIN, REACH_FACTOR,
+};
 pub use rect::Rect;
 pub use segment::Segment;
 

@@ -19,6 +19,16 @@
 //! prune a non-leaf entry `e`: if some candidate `p` exists with `T ⊆ Φ(L, p)`
 //! for *every* side `L` of `e`, then no point inside `e` can have a Voronoi
 //! cell intersecting `T`.
+//!
+//! [`rect_within_phi_all_sides`] loops over `T`'s vertices for each side.
+//! The filter puts an O(1) certificate in front of it,
+//! [`rect_within_phi_certified`](crate::rect_within_phi_certified): with a
+//! disc `(c, r)` around `T` ([`ShieldCircle`](crate::ShieldCircle)), the
+//! entry passes without the loops when `(|p − c| + r)·(1 + δ) <
+//! mindist(e, c) − r` less a scale margin, since then every location of
+//! `T` is strictly closer to `p` than to any side. The margin `δ` and the
+//! floating-point soundness argument live with the other certificates in
+//! [`prune`](crate::prune).
 
 use crate::point::Point;
 use crate::polygon::ConvexPolygon;

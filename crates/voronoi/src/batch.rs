@@ -7,9 +7,31 @@
 //! entries are browsed in ascending `mindist` from the centroid of `G`, an
 //! entry is pruned only when it can refine **no** group member's cell, and a
 //! discovered point refines only the cells it can actually refine.
+//!
+//! # Reach certificates
+//!
+//! Both tests are vertex loops — Lemma 2 ([`can_refine`]) once per group
+//! member for every entry, Lemma 1 ([`bisector_cuts`]) once per member for
+//! every discovered point — and most of them cannot change the answer. The
+//! traversal keeps each member's squared *reach* ([`cell_reach_sq`]: the
+//! farthest cell vertex from the site), refreshed after every clip of that
+//! member, and runs the certified forms [`can_refine_certified`] and
+//! [`bisector_cuts_certified`]: an entry whose `mindist` from the site, or
+//! a point whose distance from it, exceeds `2·reach` by the relative margin
+//! `δ` ([`CERT_MARGIN`](cij_geom::CERT_MARGIN)) is skipped in O(1), because
+//! everything a cut removes lies within twice the reach. The decisions are
+//! those of the exact loops, so cells and page accesses are bit-identical;
+//! the soundness argument (rounding, empty cells, duplicates) is in
+//! [`cij_geom::prune`].
+//!
+//! [`can_refine`]: cij_geom::can_refine
+//! [`bisector_cuts`]: cij_geom::bisector_cuts
+//! [`cell_reach_sq`]: cij_geom::cell_reach_sq
 
-use crate::single::can_refine;
-use cij_geom::{ClipScratch, ConvexPolygon, Point, Rect};
+use cij_geom::{
+    bisector_cuts_certified, can_refine_certified, cell_reach_sq, ClipScratch, ConvexPolygon,
+    Point, Rect,
+};
 use cij_pagestore::PageId;
 use cij_rtree::{
     LeafLayout, MinDistHeap, MinHeapItem, NodeArena, NodeReader, PointObject, RTreeObject,
@@ -20,9 +42,10 @@ use cij_rtree::{
 /// The SoA ([`LeafLayout::Soa`]) path of [`batch_voronoi_with`] performs all
 /// its transient work inside this struct: nodes decode into the
 /// [`NodeArena`], cell refinement ping-pongs through the [`ClipScratch`],
-/// and per-leaf centroid distances land in `dists`. Allocate one per worker
-/// thread, reuse it across every group the worker processes; after the
-/// buffers reach their high-water size the traversal allocates only for the
+/// per-leaf centroid distances land in `dists`, and both layouts keep the
+/// members' squared reaches in `reach`. Allocate one per worker thread,
+/// reuse it across every group the worker processes; after the buffers
+/// reach their high-water size the traversal allocates only for the
 /// returned cells themselves.
 #[derive(Debug, Default)]
 pub struct VorScratch {
@@ -32,6 +55,9 @@ pub struct VorScratch {
     pub clip: ClipScratch,
     /// Batched point-to-centroid distances of one leaf.
     pub dists: Vec<f64>,
+    /// Squared reach of each group member's current cell, aligned with the
+    /// group (the reach certificates of the module docs).
+    pub reach: Vec<f64>,
 }
 
 impl VorScratch {
@@ -49,37 +75,6 @@ impl VorScratch {
 enum HeapEntry {
     Node { page: PageId, mbr: Rect },
     Point(PointObject),
-}
-
-/// Whether the bisector `⊥(site, other)` actually cuts the cell whose
-/// vertex set is `cell_vertices`: some vertex must lie strictly closer to
-/// `other` than to `site`. This is Lemma 1 specialised to a point entry —
-/// clipping when it returns `false` is a no-op, so callers skip the clip.
-///
-/// Shared by [`batch_voronoi`]'s refinement step and the conditional-filter
-/// kernels of `cij-core`, which both maintain a conservative cell and must
-/// agree on when a discovered point can shrink it.
-#[inline]
-pub fn bisector_cuts(cell_vertices: &[Point], site: &Point, other: &Point) -> bool {
-    cell_vertices
-        .iter()
-        .any(|g| g.dist_sq(other) < g.dist_sq(site))
-}
-
-/// Squared radius of the smallest circle centred at `site` that contains
-/// every vertex of `cell` — the cell's *reach* from its site.
-///
-/// The bound behind nearest-first bounded clipping: every location the
-/// bisector `⊥(site, other)` removes lies at least `dist(site, other) / 2`
-/// from `site` (triangle inequality), and a convex cell is contained in the
-/// vertex circle, so once `dist(site, other)² > 4 × reach²` the bisector
-/// provably cannot shrink the cell and all farther points can be skipped.
-#[inline]
-pub fn cell_reach_sq(site: &Point, cell: &ConvexPolygon) -> f64 {
-    cell.vertices()
-        .iter()
-        .map(|v| v.dist_sq(site))
-        .fold(0.0, f64::max)
 }
 
 /// A store of previously computed exact Voronoi cells, keyed by point id.
@@ -227,21 +222,34 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
     if group.is_empty() || tree.is_empty() {
         return cells;
     }
-    let VorScratch { arena, clip, dists } = scratch;
+    let VorScratch {
+        arena,
+        clip,
+        dists,
+        reach,
+    } = scratch;
     let sites: Vec<Point> = group.iter().map(|o| o.point).collect();
     let centroid = Point::centroid(&sites).expect("non-empty group");
+    reach.clear();
+    reach.extend(
+        group
+            .iter()
+            .zip(&cells)
+            .map(|(member, cell)| cell_reach_sq(&member.point, cell)),
+    );
 
     // A point pj discovered by the traversal refines member i's cell exactly
     // under the Lemma-1 test; group members refine each other here as well,
     // because they are data points of P like any other. The two layout arms
     // compute the same clip; SoA reuses the scratch buffers instead of
-    // allocating a fresh polygon per bisector.
-    let mut refine_with = |cells: &mut [ConvexPolygon], pj: &PointObject| {
+    // allocating a fresh polygon per bisector. Each clip refreshes the
+    // member's reach.
+    let mut refine_with = |cells: &mut [ConvexPolygon], reach: &mut [f64], pj: &PointObject| {
         for (i, member) in group.iter().enumerate() {
             if member.id == pj.id {
                 continue;
             }
-            if bisector_cuts(cells[i].vertices(), &member.point, &pj.point) {
+            if bisector_cuts_certified(cells[i].vertices(), &member.point, &pj.point, reach[i]) {
                 match layout {
                     LeafLayout::Aos => {
                         cells[i] = cells[i].clip_bisector(&member.point, &pj.point);
@@ -250,6 +258,7 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
                         cells[i].clip_bisector_in_place(&member.point, &pj.point, clip);
                     }
                 }
+                reach[i] = cell_reach_sq(&member.point, &cells[i]);
             }
         }
     };
@@ -258,7 +267,7 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
     // traversal starts from tight cells (pure optimisation — the traversal
     // would rediscover them anyway).
     for pj in group {
-        refine_with(&mut cells, pj);
+        refine_with(&mut cells, reach, pj);
     }
 
     let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
@@ -272,11 +281,14 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
 
     // Lemma-2 test lifted to the group: an entry survives if it can refine
     // the cell of at least one member.
-    let any_can_refine = |mbr: &Rect, cells: &[ConvexPolygon]| {
+    let any_can_refine = |mbr: &Rect, cells: &[ConvexPolygon], reach: &[f64]| {
         group
             .iter()
-            .zip(cells.iter())
-            .any(|(member, cell)| can_refine(mbr, cell.vertices(), &member.point))
+            .zip(cells)
+            .zip(reach)
+            .any(|((member, cell), &r)| {
+                can_refine_certified(mbr, cell.vertices(), &member.point, r)
+            })
     };
 
     while let Some(MinHeapItem { item, .. }) = heap.pop() {
@@ -284,13 +296,13 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
             HeapEntry::Point(pj) => {
                 // Re-checked at deheap time (line 9 of Algorithm 2): the
                 // cells may have shrunk since this point was pushed.
-                if any_can_refine(&pj.mbr(), &cells) {
-                    refine_with(&mut cells, &pj);
+                if any_can_refine(&pj.mbr(), &cells, reach) {
+                    refine_with(&mut cells, reach, &pj);
                 }
             }
             HeapEntry::Node { page, mbr } => {
                 // Line 9 of Algorithm 2 applied before reading the child.
-                if !any_can_refine(&mbr, &cells) {
+                if !any_can_refine(&mbr, &cells, reach) {
                     continue;
                 }
                 match layout {
@@ -298,14 +310,14 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
                         let node = tree.read(page);
                         if node.is_leaf() {
                             for o in node.objects {
-                                if any_can_refine(&o.mbr(), &cells) {
+                                if any_can_refine(&o.mbr(), &cells, reach) {
                                     let d = o.point.dist(&centroid);
                                     heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
                                 }
                             }
                         } else {
                             for c in node.children {
-                                if any_can_refine(&c.mbr, &cells) {
+                                if any_can_refine(&c.mbr, &cells, reach) {
                                     let d = c.mbr.mindist_point(&centroid);
                                     heap.push(MinHeapItem::new(
                                         d,
@@ -336,13 +348,13 @@ pub fn batch_voronoi_with<T: NodeReader<PointObject>>(
                             }
                             for (i, &d) in dists.iter().enumerate() {
                                 let o = arena.object(i);
-                                if any_can_refine(&o.mbr(), &cells) {
+                                if any_can_refine(&o.mbr(), &cells, reach) {
                                     heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
                                 }
                             }
                         } else {
                             for c in arena.children() {
-                                if any_can_refine(&c.mbr, &cells) {
+                                if any_can_refine(&c.mbr, &cells, reach) {
                                     let d = c.mbr.mindist_point(&centroid);
                                     heap.push(MinHeapItem::new(
                                         d,

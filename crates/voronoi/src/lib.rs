@@ -5,7 +5,7 @@
 //!
 //! * [`single_voronoi`] — **BF-VOR** (Algorithm 1): the exact Voronoi cell of
 //!   one point in a single best-first R-tree traversal, with the Lemma-1/2
-//!   pruning rule [`can_refine`].
+//!   pruning rule [`can_refine`] behind its O(1) reach certificate.
 //! * [`batch_voronoi`] — **BatchVoronoi** (Algorithm 2): the cells of a group
 //!   of nearby points (one R-tree leaf, in practice) in one shared traversal.
 //! * [`tp_voronoi`] — the **TP-VOR** multi-traversal baseline of [10], used
@@ -24,10 +24,11 @@ pub mod single;
 pub mod tpvor;
 
 pub use batch::{
-    batch_voronoi, batch_voronoi_cached, batch_voronoi_cached_with, batch_voronoi_with,
-    bisector_cuts, cell_reach_sq, CellStore, NoCache, VorScratch,
+    batch_voronoi, batch_voronoi_cached, batch_voronoi_cached_with, batch_voronoi_with, CellStore,
+    NoCache, VorScratch,
 };
 pub use brute::{brute_force_cell, brute_force_diagram, nearest_index};
+pub use cij_geom::{bisector_cuts, can_refine, cell_reach_sq};
 pub use diagram::{compute_diagram, lower_bound_io, DiagramMethod, DiagramResult};
-pub use single::{can_refine, single_voronoi};
+pub use single::single_voronoi;
 pub use tpvor::tp_voronoi;

@@ -7,22 +7,16 @@
 //! algorithm of [11]). Each discovered point refines the cell by bisector
 //! clipping; Lemmas 1 and 2 prune points and subtrees that cannot refine the
 //! current cell. Every node is accessed at most once.
+//!
+//! The Lemma-2 test runs behind the same O(1) reach certificate as
+//! Algorithm 2 ([`can_refine_certified`], see [`crate::batch`]): the cell's
+//! squared reach is refreshed after every clip, and an entry farther than
+//! twice the reach (plus the margin `δ`) is rejected without the vertex
+//! loop. Decisions, and therefore cells, are unchanged.
 
-use cij_geom::{ConvexPolygon, Point, Rect};
+use cij_geom::{can_refine_certified, cell_reach_sq, ConvexPolygon, Point, Rect};
 use cij_pagestore::PageId;
 use cij_rtree::{MinDistHeap, MinHeapItem, ObjectId, PointObject, RTree, RTreeObject};
-
-/// Pruning test of Lemma 2 (and Lemma 1 for degenerate rectangles): can the
-/// entry with MBR `mbr` possibly contain a point that refines the cell whose
-/// vertex set is `vertices`, given the cell owner `pi`?
-///
-/// The entry *may* refine the cell iff there exists a vertex `γ` with
-/// `mindist(e, γ) < dist(γ, pi)`.
-pub fn can_refine(mbr: &Rect, vertices: &[Point], pi: &Point) -> bool {
-    vertices
-        .iter()
-        .any(|g| mbr.mindist_point_sq(g) < g.dist_sq(pi))
-}
 
 enum HeapEntry {
     Node { page: PageId, mbr: Rect },
@@ -46,6 +40,7 @@ pub fn single_voronoi(
     if tree.is_empty() {
         return cell;
     }
+    let mut reach = cell_reach_sq(&pi, &cell);
     let mut heap: MinDistHeap<HeapEntry> = MinDistHeap::new();
     heap.push(MinHeapItem::new(
         0.0,
@@ -60,15 +55,16 @@ pub fn single_voronoi(
             HeapEntry::Point(pj) => {
                 // Line 7 of Algorithm 1 applied at deheap time: the cell may
                 // have shrunk since this entry was pushed.
-                if pj.id == pi_id || !can_refine(&pj.mbr(), cell.vertices(), &pi) {
+                if pj.id == pi_id || !can_refine_certified(&pj.mbr(), cell.vertices(), &pi, reach) {
                     continue;
                 }
                 cell = cell.clip_bisector(&pi, &pj.point);
+                reach = cell_reach_sq(&pi, &cell);
             }
             HeapEntry::Node { page, mbr } => {
                 // Line 7 of Algorithm 1: skip (without reading) subtrees that
                 // can no longer refine the current cell.
-                if !can_refine(&mbr, cell.vertices(), &pi) {
+                if !can_refine_certified(&mbr, cell.vertices(), &pi, reach) {
                     continue;
                 }
                 let node = tree.read_node(page);
@@ -77,14 +73,14 @@ pub fn single_voronoi(
                         if o.id == pi_id {
                             continue;
                         }
-                        if can_refine(&o.mbr(), cell.vertices(), &pi) {
+                        if can_refine_certified(&o.mbr(), cell.vertices(), &pi, reach) {
                             let d = o.point.dist(&pi);
                             heap.push(MinHeapItem::new(d, HeapEntry::Point(o)));
                         }
                     }
                 } else {
                     for c in node.children {
-                        if can_refine(&c.mbr, cell.vertices(), &pi) {
+                        if can_refine_certified(&c.mbr, cell.vertices(), &pi, reach) {
                             let d = c.mbr.mindist_point(&pi);
                             heap.push(MinHeapItem::new(
                                 d,
@@ -106,6 +102,7 @@ pub fn single_voronoi(
 mod tests {
     use super::*;
     use crate::brute::brute_force_cell;
+    use cij_geom::can_refine;
     use cij_rtree::RTreeConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
