@@ -1,5 +1,5 @@
-//! Standalone runner for the multiway-CIJ scaling experiment (batched vs
-//! per-tuple probing, thread parity; see
+//! Standalone runner for the multiway-CIJ scaling experiment (probing
+//! budgets, planning, thread parity; see
 //! [`cij_bench::experiments::multiway_scale`]).
 
 use cij_bench::experiments::multiway_scale;

@@ -1,5 +1,5 @@
 //! Figure 5: cost of individual Voronoi-cell queries — BF-VOR (Algorithm 1)
-//! vs the TP-VOR baseline [10], on a uniform dataset.
+//! vs the TP-VOR baseline \[10\], on a uniform dataset.
 //!
 //! The paper uses n = 100 K points and 100 random query points and reports,
 //! per query, the R-tree node accesses (Fig. 5a) and CPU time (Fig. 5b).

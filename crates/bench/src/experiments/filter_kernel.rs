@@ -1,6 +1,6 @@
 //! Conditional-filter kernel experiment: the sub-quadratic `Indexed` kernel
 //! vs the historical quadratic `Scan` baseline
-//! ([`FilterKernel`](cij_core::FilterKernel)).
+//! ([`FilterKernel`]).
 //!
 //! Three measurements, all on clustered data:
 //!

@@ -20,7 +20,7 @@
 //! | [`cache_sweep`] | Fig. 8a-style sweep of the Section IV-B reuse-buffer capacity (`cell_cache_capacity`) |
 //! | [`scaling`] | NM-CIJ thread scaling (`worker_threads` ∈ {1, 2, 4, 8}): speedup + sequential-parity check |
 //! | [`io_validation`] | Heap vs file `StorageBackend`: counted page accesses vs actual bytes read, cold and warm buffer, plus backend parity |
-//! | [`multiway_scale`] | Multiway CIJ over k ∈ {2, 3, 4} sets: leaf-batched vs per-tuple probing, cost-driven planning vs the fixed-driver baseline, thread-parity check |
+//! | [`multiway_scale`] | Multiway CIJ over k ∈ {2, 3, 4} sets: leaf-batched probing budgets, cost-driven planning vs the fixed-driver baseline, thread-parity check |
 //! | [`filter_kernel`] | Conditional-filter kernels: sub-quadratic `Indexed` vs quadratic `Scan` — byte-identical candidates, identical traversal, ≥ 3× fewer clip operations |
 //! | [`kernel_layout`] | Leaf layouts: SoA arena/scratch kernels vs the AoS baseline — byte-identical pairs/tuples/counters/page accesses at any thread count and backend, strictly fewer allocations |
 //! | [`concurrent_scale`] | Fast-mode serving: N ∈ {1, 4, 16} simultaneous NM-CIJ queries over one shared snapshot — metered-identical results, zero traces/replays, budget envelope under quota pressure |

@@ -54,7 +54,7 @@
 //! count; the `kernel_layout` experiment uses deltas of it to gate the SoA
 //! layout's "measurably less work" contract.
 //!
-//! Relaxed-consistency contract: [`ALLOCATIONS`] is a single monotone
+//! Relaxed-consistency contract: `ALLOCATIONS` is a single monotone
 //! counter with no other shared state ordered against it. Increments use
 //! `Ordering::Relaxed` because only the counter's own modification order
 //! matters — [`allocations`] deltas are taken around single-threaded

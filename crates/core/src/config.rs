@@ -2,34 +2,7 @@
 
 use cij_geom::Rect;
 use cij_pagestore::StorageBackend;
-use cij_rtree::{LeafLayout, RTreeConfig};
-
-/// How the multiway CIJ probes the next set's tree with the regions of its
-/// live partial tuples (the filter phase of every extension round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MultiwayProbe {
-    /// One [`batch_conditional_filter`](crate::filter::batch_conditional_filter)
-    /// call per leaf unit, probing all live partial regions of the unit at
-    /// once — the same redundant-traversal cut binary NM-CIJ gets from
-    /// batching the cells of one `RQ` leaf. The default.
-    #[default]
-    Batched,
-    /// One filter call per partial tuple — the historical baseline the
-    /// `multiway_scale` experiment compares against. Results are identical
-    /// to [`MultiwayProbe::Batched`]; page accesses and filter
-    /// points-examined are strictly higher on non-trivial workloads.
-    PerTuple,
-}
-
-impl MultiwayProbe {
-    /// Short label used by benches and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MultiwayProbe::Batched => "batched",
-            MultiwayProbe::PerTuple => "per-tuple",
-        }
-    }
-}
+use cij_rtree::{LeafLayout, RTree, RTreeConfig, RTreeObject, SnapshotReader};
 
 /// Which conditional-filter kernel
 /// [`batch_conditional_filter`](crate::filter::batch_conditional_filter)
@@ -111,11 +84,11 @@ impl MultiwayDriver {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The byte-exact counted path: every page access flows through the
-    /// real LRU buffer and the shared [`cij_pagestore::IoStats`], and the
-    /// parallel protocol records [`cij_rtree::TracedReader`] page traces
-    /// which the coordinator replays in Hilbert leaf order. This is the
-    /// correctness *and* accounting oracle — tests and the paper-figure
-    /// benches run it. The default.
+    /// real LRU buffer and the shared [`cij_pagestore::IoStats`]. The
+    /// chunked protocol's workers read through traced
+    /// [`SnapshotReader`]s, whose page traces the coordinator replays in
+    /// Hilbert leaf order. This is the correctness *and* accounting oracle
+    /// — tests and the paper-figure benches run it. The default.
     #[default]
     Metered,
     /// The lock-light serving path: queries traverse the tree pages as an
@@ -136,6 +109,17 @@ impl ExecMode {
         match self {
             ExecMode::Metered => "metered",
             ExecMode::Fast => "fast",
+        }
+    }
+
+    /// The snapshot reader the chunked protocol traverses `tree` with in
+    /// this mode: traced in metered mode (the coordinator replays its trace
+    /// through the real buffer), untraced in fast mode (its count lands on
+    /// the query's local counter).
+    pub(crate) fn reader<D: RTreeObject>(self, tree: &RTree<D>) -> SnapshotReader<'_, D> {
+        match self {
+            ExecMode::Metered => SnapshotReader::traced(tree),
+            ExecMode::Fast => SnapshotReader::new(tree),
         }
     }
 }
@@ -208,25 +192,25 @@ pub struct CijConfig {
     pub progress_sample_pairs: u64,
     /// Number of worker threads NM-CIJ uses to process the leaves of `RQ`.
     ///
-    /// `0` or `1` (the default) runs the classic single-threaded leaf loop,
-    /// byte-for-byte unchanged. Values above `1` execute leaf units
-    /// `(cells → filter → refine)` on a [`std::thread::scope`] worker pool
-    /// and reassemble the per-leaf pair buffers in Hilbert leaf order, so
-    /// the emitted pairs (set *and* order), the NM counters and the
-    /// page-access totals are identical to the sequential run — workers
-    /// compute against the trees as immutable snapshots and the coordinator
-    /// replays each leaf's page-access trace through the real LRU buffer in
-    /// leaf order (see [`crate::nm`] for the full protocol). The stream
-    /// stays lazy: at most a small multiple of `worker_threads` leaves are
-    /// in flight, so first pairs never wait for the whole join.
+    /// With `0` or `1` (the default) a metered run takes the classic
+    /// single-threaded leaf loop, which reads through the buffer directly; a
+    /// fast run always takes the chunked protocol, here with every phase
+    /// inline on the calling thread. Values above `1` execute leaf units
+    /// `(cells → filter → refine)` of the chunked protocol on a
+    /// [`std::thread::scope`] worker pool and reassemble the per-leaf pair
+    /// buffers in Hilbert leaf order, so the emitted pairs (set *and*
+    /// order), the NM counters and the page-access totals are identical to
+    /// the sequential run — workers compute against the trees as immutable
+    /// snapshots and, in metered mode, the coordinator replays each leaf's
+    /// page-access trace through the real LRU buffer in leaf order (see
+    /// [`crate::nm`] for the full protocol). The stream stays lazy: at most
+    /// a small multiple of `worker_threads` leaves are in flight, so first
+    /// pairs never wait for the whole join.
     ///
     /// The multiway [`TupleStream`](crate::multiway::TupleStream) honours
     /// the same knob with the same exact-parity guarantee over its leaf
     /// units.
     pub worker_threads: usize,
-    /// Probe strategy of the multiway CIJ's extension rounds (see
-    /// [`MultiwayProbe`]); [`MultiwayProbe::Batched`] by default.
-    pub multiway_probe: MultiwayProbe,
     /// Conditional-filter kernel every algorithm's filter phase runs (see
     /// [`FilterKernel`]); [`FilterKernel::Indexed`] by default, with
     /// [`FilterKernel::Scan`] as the historical quadratic baseline. Both
@@ -236,11 +220,11 @@ pub struct CijConfig {
     /// Driver-tree selection of the multiway CIJ (see [`MultiwayDriver`]);
     /// cost-based by default.
     pub multiway_driver: MultiwayDriver,
-    /// Memory layout of the decoded-node hot paths (see
-    /// [`LeafLayout`](cij_rtree::LeafLayout)): [`LeafLayout::Soa`] (the
-    /// default) decodes nodes into reusable per-worker SoA arenas and clips
-    /// cells in place through scratch buffers; [`LeafLayout::Aos`] is the
-    /// historical owned-`Node`/allocating-clip baseline. Both layouts
+    /// Memory layout of the decoded-node hot paths (see [`LeafLayout`]):
+    /// [`LeafLayout::Soa`] (the default) decodes nodes into reusable
+    /// per-worker SoA arenas and clips cells in place through scratch
+    /// buffers; [`LeafLayout::Aos`] is the historical
+    /// owned-`Node`/allocating-clip baseline. Both layouts
     /// produce byte-identical pairs, tuples, counters and page accesses —
     /// the knob trades memory shape, never results (asserted by the
     /// `kernel_layout` bench experiment and `tests/layout.rs`).
@@ -276,7 +260,6 @@ impl Default for CijConfig {
             cell_cache_capacity: 1024,
             progress_sample_pairs: 1_000,
             worker_threads: 1,
-            multiway_probe: MultiwayProbe::Batched,
             filter_kernel: FilterKernel::Indexed,
             multiway_driver: MultiwayDriver::CostBased,
             leaf_layout: LeafLayout::Soa,
@@ -340,12 +323,6 @@ impl CijConfig {
     /// [`CijConfig::worker_threads`]; `0` and `1` both mean sequential).
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;
-        self
-    }
-
-    /// Sets the multiway probe strategy (see [`MultiwayProbe`]).
-    pub fn with_multiway_probe(mut self, probe: MultiwayProbe) -> Self {
-        self.multiway_probe = probe;
         self
     }
 
@@ -508,16 +485,6 @@ mod tests {
         );
         let c = c.with_storage_backend(StorageBackend::File);
         assert_eq!(c.storage_backend, StorageBackend::File);
-    }
-
-    #[test]
-    fn multiway_probe_default_and_builder() {
-        let c = CijConfig::default();
-        assert_eq!(c.multiway_probe, MultiwayProbe::Batched);
-        assert_eq!(c.multiway_probe.name(), "batched");
-        let c = c.with_multiway_probe(MultiwayProbe::PerTuple);
-        assert_eq!(c.multiway_probe, MultiwayProbe::PerTuple);
-        assert_eq!(c.multiway_probe.name(), "per-tuple");
     }
 
     #[test]

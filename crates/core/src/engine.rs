@@ -170,7 +170,7 @@ impl<'a> PairStream<'a> {
     /// streams). Everything emitted up to the last watermark is final: no
     /// later leaf can add or change those pairs — the checkpointing
     /// contract ported back from the multiway
-    /// [`TupleStream`](crate::multiway::TupleStream).
+    /// [`TupleStream`].
     pub fn watermarks_so_far(&self) -> Vec<LeafWatermark> {
         self.state.lock().unwrap().watermarks.clone()
     }
@@ -434,7 +434,7 @@ impl QueryEngine {
     }
 
     /// Runs the CIJ-based grouped nearest-neighbour analysis (see
-    /// [`grouped_nn_via_cij`](crate::grouped::grouped_nn_via_cij)).
+    /// [`grouped_nn_via_cij`]).
     pub fn grouped_nn(&self, p: &[Point], q: &[Point], locations: &[Point]) -> GroupCounts {
         grouped_nn_via_cij(p, q, locations, &self.config)
     }

@@ -232,8 +232,9 @@ pub fn batch_conditional_filter<T: NodeReader<PointObject>>(
 ///
 /// The candidate set is independent of the options — they trade CPU
 /// strategies, never results. Generic over [`NodeReader`], so the same
-/// traversal runs in counted mode (`&mut RTree`) and in the traced snapshot
-/// mode used by parallel workers ([`cij_rtree::TracedReader`]).
+/// traversal runs in counted mode (`&mut RTree`) and through the snapshot
+/// reader of the chunked protocol's workers ([`cij_rtree::SnapshotReader`],
+/// traced or counting).
 pub fn batch_conditional_filter_with<T: NodeReader<PointObject>>(
     rp: &mut T,
     polys: &[ConvexPolygon],

@@ -59,7 +59,7 @@
 //! ## The shared cell cache
 //!
 //! The Section IV-B *reuse buffer* is the bounded LRU
-//! [`CellCache`](cell_cache::CellCache), shared by NM-CIJ, PM-CIJ and the
+//! [`CellCache`], shared by NM-CIJ, PM-CIJ and the
 //! [`multiway`] / [`grouped`] extensions through the cache-aware
 //! [`cij_voronoi::batch_voronoi_cached`] API. Its capacity is bounded by
 //! [`CijConfig::cell_cache_capacity`]; hit/miss/eviction counts surface
@@ -108,7 +108,7 @@ pub use brute::brute_force_cij;
 pub use cell_cache::{CacheBudget, CacheLease, CellCache};
 pub use cij_pagestore::StorageBackend;
 pub use cij_rtree::LeafLayout;
-pub use config::{CijConfig, ExecMode, FilterKernel, MultiwayDriver, MultiwayProbe};
+pub use config::{CijConfig, ExecMode, FilterKernel, MultiwayDriver};
 pub use engine::{CijExecutor, FmExecutor, NmExecutor, PairStream, PmExecutor, QueryEngine};
 pub use filter::{
     batch_conditional_filter, batch_conditional_filter_scratch, batch_conditional_filter_with,

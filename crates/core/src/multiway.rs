@@ -29,15 +29,12 @@
 //!   `cells_computed[i]` has the same meaning ("exact cells computed",
 //!   i.e. cache misses) for every slot and duplicate seed work would be
 //!   served from the buffer.
-//! * **Extend (rounds 1 … k−1)**: the unit's live partial tuples are grouped
-//!   into **probe units** and each probe unit issues *one*
-//!   [`batch_conditional_filter`] call carrying all of its partial regions
-//!   ([`MultiwayProbe::Batched`], the default) — the same redundant-traversal
-//!   cut that batching the cells of one `RQ` leaf gives binary NM-CIJ,
-//!   observable as a drop in page accesses and filter points-examined
-//!   (measured by the `multiway_scale` bench experiment against the
-//!   [`MultiwayProbe::PerTuple`] baseline, which probes once per partial
-//!   tuple). Candidate cells are then resolved through the set's
+//! * **Extend (rounds 1 … k−1)**: each leaf unit with live partial tuples
+//!   issues *one* [`batch_conditional_filter`] call carrying all of its
+//!   partial regions — the same redundant-traversal cut that batching the
+//!   cells of one `RQ` leaf gives binary NM-CIJ, so
+//!   [`MultiwayCounters::filter_probes`] never exceeds the leaf count times
+//!   `k − 1`. Candidate cells are then resolved through the set's
 //!   [`CellCache`] and each partial region is narrowed by polygon
 //!   intersection; empty intersections drop the candidate tuple.
 //!
@@ -74,8 +71,8 @@
 //! determinism protocol as parallel NM-CIJ (see [`crate::nm`]), generalised
 //! to `k` trees and `k` caches:
 //!
-//! * workers traverse the trees as immutable snapshots through
-//!   [`cij_rtree::TracedReader`], recording per-unit page traces;
+//! * workers traverse the trees as immutable snapshots through traced
+//!   [`cij_rtree::SnapshotReader`]s, recording per-unit page traces;
 //! * the coordinator decides every [`CellCache`] hit/miss/eviction on id
 //!   sequences in leaf order (policy/payload split) and later replays each
 //!   leaf's traces through the real LRU buffers in the exact sequential
@@ -93,10 +90,10 @@
 //!
 //! Under [`CijConfig::exec_mode`](crate::config::CijConfig::exec_mode) =
 //! [`ExecMode::Fast`], the same chunked
-//! protocol runs with [`cij_rtree::SnapshotReader`] in every parallel
-//! phase: no page traces are recorded, the emit phase replays nothing
-//! through the LRU buffers, and "page accesses" become per-query-local
-//! logical snapshot reads. Tuples (set and order) and every
+//! protocol runs with untraced [`cij_rtree::SnapshotReader`]s in every
+//! parallel phase: no page traces are recorded, the emit phase replays
+//! nothing through the LRU buffers, and "page accesses" become
+//! per-query-local logical snapshot reads. Tuples (set and order) and every
 //! [`MultiwayCounters`] field are still identical to the metered run —
 //! only the I/O accounting semantics change. A fast stream over a shared
 //! tree slice (no exclusive workload at all) backs the concurrent request
@@ -107,22 +104,22 @@
 //! [`CijConfig::worker_threads`]: crate::config::CijConfig::worker_threads
 //! [`CijConfig::multiway_driver`]: crate::config::CijConfig::multiway_driver
 //! [`CijConfig::multiway_prune`]: crate::config::CijConfig::multiway_prune
-//! [`MultiwayProbe::Batched`]: crate::config::MultiwayProbe::Batched
-//! [`MultiwayProbe::PerTuple`]: crate::config::MultiwayProbe::PerTuple
 //! [`MultiwayWorkload::estimated_driver_cost`]: crate::workload::MultiwayWorkload::estimated_driver_cost
 
 use crate::cell_cache::CellCache;
-use crate::config::{CijConfig, ExecMode, MultiwayDriver, MultiwayProbe};
+use crate::config::{CijConfig, ExecMode, MultiwayDriver};
 use crate::filter::{batch_conditional_filter_scratch, FilterOptions, FilterStats};
-use crate::nm::{run_ordered, run_ordered_scratch, UnitScratch};
+use crate::nm::{
+    policy_pass, refine_units, resolve_unit, run_ordered, run_ordered_scratch, UnitPlan,
+    UnitScratch,
+};
 use crate::stats::{LeafWatermark, MultiwayCounters, ProgressSample};
 use crate::workload::{pick_driver, MultiwayWorkload};
 use cij_geom::{ConvexPolygon, Point, Rect};
 use cij_pagestore::{IoSnapshot, IoStats, PageId, PageIoError};
-use cij_rtree::{NodeReader, PointObject, RTree, SnapshotReader, TracedReader};
-use cij_voronoi::{batch_voronoi_with, brute_force_diagram, VorScratch};
+use cij_rtree::{NodeReader, PointObject, RTree, ReadRecord};
+use cij_voronoi::brute_force_diagram;
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// Steady-state chunk width as a multiple of the worker count; chunks ramp
 /// `1 → workers → workers * CHUNK_RAMP` so the first tuples cost only one
@@ -182,81 +179,6 @@ impl MultiwayOutcome {
         );
         v
     }
-}
-
-/// The coordinator's replacement-policy verdict for one probe unit: which
-/// candidates hit the set's reuse buffer, which must be computed
-/// (`missing`, in candidate order — exactly the cells a width-1 run would
-/// compute), and the deferred payload bookkeeping of the puts.
-#[derive(Default)]
-struct ProbePlan {
-    /// Aligned with the unit's candidates: `true` when the cell was a hit.
-    hit: Vec<bool>,
-    /// Candidates whose exact cells this unit computes, in candidate order.
-    missing: Vec<PointObject>,
-    /// One entry per `missing` member: `(id, evicted victim)`.
-    puts: Vec<(u64, Option<u64>)>,
-    /// Cache hits attributed to this unit.
-    reused: u64,
-    /// Cache misses attributed to this unit.
-    computed: u64,
-}
-
-/// Runs the replacement policy of one probe unit over `candidates` on the
-/// real cache (coordinator only, unit order) — the exact hit/miss/eviction
-/// sequence a width-1 run would produce.
-fn policy_pass(cache: &mut CellCache, candidates: &[PointObject]) -> ProbePlan {
-    let mut plan = ProbePlan::default();
-    for cand in candidates {
-        if cache.policy_get(cand.id.0) {
-            plan.hit.push(true);
-            plan.reused += 1;
-        } else {
-            plan.hit.push(false);
-            plan.computed += 1;
-            plan.missing.push(*cand);
-        }
-    }
-    for m in &plan.missing {
-        plan.puts.push((m.id.0, cache.policy_put(m.id.0)));
-    }
-    plan
-}
-
-/// Resolves one probe unit's aligned candidate cells: hits from the cache
-/// payloads, misses from the unit's freshly refined cells, applying the
-/// deferred payload updates of the unit's puts (coordinator only, unit
-/// order — hits recorded before a put must still see the victim's payload).
-fn resolve_unit(
-    cache: &mut CellCache,
-    candidates: &[PointObject],
-    plan: &ProbePlan,
-    refined: Vec<ConvexPolygon>,
-) -> Vec<ConvexPolygon> {
-    let mut aligned: Vec<Option<ConvexPolygon>> = candidates
-        .iter()
-        .zip(&plan.hit)
-        .map(|(cand, hit)| hit.then(|| cache.resolved_payload(cand.id.0)))
-        .collect();
-    let mut fresh = refined.into_iter();
-    let mut puts = plan.puts.iter();
-    for slot in aligned.iter_mut() {
-        if slot.is_none() {
-            let cell = fresh
-                .next()
-                .expect("one refined cell per missing candidate");
-            let (id, victim) = puts.next().expect("one put per missing candidate");
-            if let Some(v) = victim {
-                cache.drop_payload(*v);
-            }
-            cache.fill_payload(*id, &cell);
-            *slot = Some(cell);
-        }
-    }
-    aligned
-        .into_iter()
-        .map(|cell| cell.expect("every slot filled"))
-        .collect()
 }
 
 /// Where a [`TupleStream`] gets its trees from.
@@ -495,6 +417,21 @@ impl<'a> TupleStream<'a> {
         }
     }
 
+    /// Charges one read record at its sequential position: metered mode
+    /// replays its trace through the real buffer of tree `tree`, fast mode
+    /// adds its count to the local counter.
+    fn settle(&mut self, tree: usize, record: &ReadRecord) {
+        match self.mode {
+            ExecMode::Metered => {
+                let tree = self.source.tree_mut(tree);
+                for &page in &record.trace {
+                    tree.replay_read(page);
+                }
+            }
+            ExecMode::Fast => self.local_reads += record.reads,
+        }
+    }
+
     /// Number of tuples this stream has yielded so far.
     pub fn tuples_emitted(&self) -> u64 {
         self.emitted
@@ -610,16 +547,13 @@ impl<'a> TupleStream<'a> {
         let prune = self.config.multiway_prune;
         let budget = self.source.tree(driver).config().node_byte_budget();
 
-        // Ordered replay segments per leaf: (tree index, page trace). The
-        // coordinator replays them leaf-major at the end of the chunk, so
+        // Read records per leaf, tagged with their tree index, in the order
+        // a width-1 run makes the reads. The coordinator settles them
+        // leaf-major at the end of the chunk (see `TupleStream::settle`), so
         // every tree's buffer sees the exact access sequence of a width-1
         // run (buffers are per-tree; the per-tree subsequence is what
-        // matters). Fast mode records no traces: its parallel phases count
-        // snapshot reads into `leaf_reads` instead, folded into the local
-        // counter at the leaf's sequential emit position (so watermarks are
-        // leaf-exact in both modes).
-        let mut replays: Vec<Vec<(usize, Vec<PageId>)>> = vec![Vec::new(); n];
-        let mut leaf_reads = vec![0u64; n];
+        // matters) and fast-mode watermarks are leaf-exact too.
+        let mut records: Vec<Vec<(usize, ReadRecord)>> = vec![Vec::new(); n];
         // Per-leaf counter deltas, folded into the shared counters at emit
         // time so `counters_so_far` is exact at every leaf boundary.
         let mut reused = vec![vec![0u64; k]; n];
@@ -633,33 +567,23 @@ impl<'a> TupleStream<'a> {
         // counting the read locally (fast).
         let groups: Vec<Vec<PointObject>> = {
             let tree = self.source.tree(driver);
-            let scans = run_ordered(workers, n, |i| match mode {
-                ExecMode::Metered => {
-                    let mut reader = TracedReader::new(tree);
-                    let group = reader.read(chunk[i]).objects;
-                    let error = reader.take_error();
-                    (group, reader.into_trace(), 0u64, error)
-                }
-                ExecMode::Fast => {
-                    let mut reader = SnapshotReader::new(tree);
-                    let group = reader.read(chunk[i]).objects;
-                    let error = reader.take_error();
-                    (group, Vec::new(), reader.into_reads(), error)
-                }
+            let scans = run_ordered(workers, n, |i| {
+                let mut reader = mode.reader(tree);
+                let group = reader.read(chunk[i]).objects;
+                (group, reader.into_record())
             });
             // Fail-stop gate: a scan-phase read failure discards the whole
             // chunk before any cache state advances (first error in leaf
             // order wins).
-            if let Some(e) = scans.iter().find_map(|s| s.3.clone()) {
+            if let Some(e) = scans.iter().find_map(|(_, r)| r.error.clone()) {
                 self.fail(e);
                 return;
             }
             scans
                 .into_iter()
                 .enumerate()
-                .map(|(i, (group, trace, reads, _))| {
-                    replays[i].push((driver, trace));
-                    leaf_reads[i] += reads;
+                .map(|(i, (group, record))| {
+                    records[i].push((driver, record));
                     group
                 })
                 .collect()
@@ -669,7 +593,7 @@ impl<'a> TupleStream<'a> {
         // One probe unit per leaf whose candidates are the leaf's points.
         let mut partials: Vec<Vec<MultiwayTuple>> = {
             // Policy (coordinator, leaf order).
-            let plans: Vec<ProbePlan> = groups
+            let plans: Vec<UnitPlan> = groups
                 .iter()
                 .enumerate()
                 .map(|(i, group)| {
@@ -682,51 +606,18 @@ impl<'a> TupleStream<'a> {
                 .collect();
             // Refine (parallel): exact cells of each leaf's missing points,
             // each worker reusing one Voronoi scratch across its leaves.
-            type Refined = (Vec<ConvexPolygon>, Vec<PageId>, u64, Option<PageIoError>);
-            let refined: Vec<Refined> = {
-                let tree = self.source.tree(driver);
-                run_ordered_scratch(
-                    workers,
-                    n,
-                    || VorScratch::for_budget(budget),
-                    |i, vor| {
-                        let missing = &plans[i].missing;
-                        if missing.is_empty() {
-                            (Vec::new(), Vec::new(), 0, None)
-                        } else {
-                            match mode {
-                                ExecMode::Metered => {
-                                    let mut reader = TracedReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, reader.into_trace(), 0, error)
-                                }
-                                ExecMode::Fast => {
-                                    let mut reader = SnapshotReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, Vec::new(), reader.into_reads(), error)
-                                }
-                            }
-                        }
-                    },
-                )
-            };
+            let refined = refine_units(
+                workers,
+                &plans,
+                self.source.tree(driver),
+                mode,
+                budget,
+                &domain,
+                layout,
+            );
             // Fail-stop gate: cells refined from an error-empty read would
             // be geometrically wrong, so the chunk dies before resolving.
-            if let Some(e) = refined.iter().find_map(|r| r.3.clone()) {
+            if let Some(e) = refined.iter().find_map(|(_, r)| r.error.clone()) {
                 self.fail(e);
                 return;
             }
@@ -736,9 +627,8 @@ impl<'a> TupleStream<'a> {
                 .zip(plans)
                 .zip(refined)
                 .enumerate()
-                .map(|(i, ((group, plan), (cells, trace, reads, _)))| {
-                    replays[i].push((driver, trace));
-                    leaf_reads[i] += reads;
+                .map(|(i, ((group, plan), (cells, record)))| {
+                    records[i].push((driver, record));
                     let aligned = resolve_unit(&mut self.caches[driver], group, &plan, cells);
                     group
                         .iter()
@@ -755,34 +645,19 @@ impl<'a> TupleStream<'a> {
         // Extension rounds: one per remaining set, in evaluation order.
         for round in 1..k {
             let set_idx = self.eval_order[round];
-            // Probe units: `(leaf, range of partial indices)`, leaf-major.
-            // Batched probing forms one unit per leaf; the per-tuple
-            // baseline forms one per live partial.
-            let units: Vec<(usize, Range<usize>)> = partials
+            // Probe units: the leaves with live partial tuples, in leaf
+            // order.
+            let units: Vec<usize> = partials
                 .iter()
                 .enumerate()
                 .filter(|(_, parts)| !parts.is_empty())
-                .flat_map(|(i, parts)| -> Vec<(usize, Range<usize>)> {
-                    match self.config.multiway_probe {
-                        MultiwayProbe::Batched => vec![(i, 0..parts.len())],
-                        MultiwayProbe::PerTuple => {
-                            (0..parts.len()).map(|j| (i, j..j + 1)).collect()
-                        }
-                    }
-                })
+                .map(|(i, _)| i)
                 .collect();
 
             // Filter (parallel, per unit): ONE batch_conditional_filter
-            // call carrying every region of the unit, each worker reusing
-            // one filter scratch across its units.
-            type Filtered = (
-                Vec<PointObject>,
-                FilterStats,
-                Vec<PageId>,
-                u64,
-                Option<PageIoError>,
-            );
-            let filtered: Vec<Filtered> = {
+            // call carrying every partial region of the leaf, each worker
+            // reusing one filter scratch across its units.
+            let filtered: Vec<(Vec<PointObject>, FilterStats, ReadRecord)> = {
                 let tree = self.source.tree(set_idx);
                 let partials = &partials;
                 run_ordered_scratch(
@@ -790,43 +665,25 @@ impl<'a> TupleStream<'a> {
                     units.len(),
                     || UnitScratch::for_budget(budget),
                     |u, scratch| {
-                        let (leaf, range) = &units[u];
-                        let regions: Vec<ConvexPolygon> = partials[*leaf][range.clone()]
+                        let regions: Vec<ConvexPolygon> = partials[units[u]]
                             .iter()
                             .map(|t| t.region.clone())
                             .collect();
-                        match mode {
-                            ExecMode::Metered => {
-                                let mut reader = TracedReader::new(tree);
-                                let (candidates, stats) = batch_conditional_filter_scratch(
-                                    &mut reader,
-                                    &regions,
-                                    &domain,
-                                    &filter_options,
-                                    &mut scratch.filter,
-                                );
-                                let error = reader.take_error();
-                                (candidates, stats, reader.into_trace(), 0, error)
-                            }
-                            ExecMode::Fast => {
-                                let mut reader = SnapshotReader::new(tree);
-                                let (candidates, stats) = batch_conditional_filter_scratch(
-                                    &mut reader,
-                                    &regions,
-                                    &domain,
-                                    &filter_options,
-                                    &mut scratch.filter,
-                                );
-                                let error = reader.take_error();
-                                (candidates, stats, Vec::new(), reader.into_reads(), error)
-                            }
-                        }
+                        let mut reader = mode.reader(tree);
+                        let (candidates, stats) = batch_conditional_filter_scratch(
+                            &mut reader,
+                            &regions,
+                            &domain,
+                            &filter_options,
+                            &mut scratch.filter,
+                        );
+                        (candidates, stats, reader.into_record())
                     },
                 )
             };
             // Fail-stop gate before the policy walk: a failed filter pass
             // must not feed partial candidate lists into the cache policy.
-            if let Some(e) = filtered.iter().find_map(|f| f.4.clone()) {
+            if let Some(e) = filtered.iter().find_map(|(_, _, r)| r.error.clone()) {
                 self.fail(e);
                 return;
             }
@@ -834,11 +691,11 @@ impl<'a> TupleStream<'a> {
             // Policy (coordinator, unit order). Walk leaves and units
             // together so each leaf's eviction watermark is captured at its
             // sequential position even when the leaf has no unit this round.
-            let mut plans: Vec<ProbePlan> = Vec::with_capacity(units.len());
+            let mut plans: Vec<UnitPlan> = Vec::with_capacity(units.len());
             {
                 let mut u = 0;
                 for i in 0..n {
-                    while u < units.len() && units[u].0 == i {
+                    while u < units.len() && units[u] == i {
                         let plan = policy_pass(&mut self.caches[set_idx], &filtered[u].0);
                         reused[i][set_idx] += plan.reused;
                         computed[i][set_idx] += plan.computed;
@@ -853,65 +710,30 @@ impl<'a> TupleStream<'a> {
 
             // Refine (parallel, per unit): exact cells of the unit's
             // missing candidates, again with per-worker Voronoi scratches.
-            type Refined = (Vec<ConvexPolygon>, Vec<PageId>, u64, Option<PageIoError>);
-            let refined: Vec<Refined> = {
-                let tree = self.source.tree(set_idx);
-                run_ordered_scratch(
-                    workers,
-                    units.len(),
-                    || VorScratch::for_budget(budget),
-                    |u, vor| {
-                        let missing = &plans[u].missing;
-                        if missing.is_empty() {
-                            (Vec::new(), Vec::new(), 0, None)
-                        } else {
-                            match mode {
-                                ExecMode::Metered => {
-                                    let mut reader = TracedReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, reader.into_trace(), 0, error)
-                                }
-                                ExecMode::Fast => {
-                                    let mut reader = SnapshotReader::new(tree);
-                                    let cells = batch_voronoi_with(
-                                        &mut reader,
-                                        missing,
-                                        &domain,
-                                        layout,
-                                        vor,
-                                    );
-                                    let error = reader.take_error();
-                                    (cells, Vec::new(), reader.into_reads(), error)
-                                }
-                            }
-                        }
-                    },
-                )
-            };
+            let refined = refine_units(
+                workers,
+                &plans,
+                self.source.tree(set_idx),
+                mode,
+                budget,
+                &domain,
+                layout,
+            );
             // Fail-stop gate: same contract as the seed refine above.
-            if let Some(e) = refined.iter().find_map(|r| r.3.clone()) {
+            if let Some(e) = refined.iter().find_map(|(_, r)| r.error.clone()) {
                 self.fail(e);
                 return;
             }
 
-            // Resolve (coordinator, unit order) + record each unit's replay
-            // segments in the sequential interleaving (filter, then refine).
+            // Resolve (coordinator, unit order) + record each unit's read
+            // records in the sequential interleaving (filter, then refine).
             let mut aligned_cells: Vec<Vec<ConvexPolygon>> = Vec::with_capacity(units.len());
             let mut candidates: Vec<Vec<PointObject>> = Vec::with_capacity(units.len());
-            for (((leaf_range, plan), (cands, _, ftrace, freads, _)), (cells, rtrace, rreads, _)) in
+            for (((&leaf, plan), (cands, _, filter_record)), (cells, refine_record)) in
                 units.iter().zip(&plans).zip(filtered).zip(refined)
             {
-                let leaf = leaf_range.0;
-                replays[leaf].push((set_idx, ftrace));
-                replays[leaf].push((set_idx, rtrace));
-                leaf_reads[leaf] += freads + rreads;
+                records[leaf].push((set_idx, filter_record));
+                records[leaf].push((set_idx, refine_record));
                 aligned_cells.push(resolve_unit(&mut self.caches[set_idx], &cands, plan, cells));
                 candidates.push(cands);
             }
@@ -929,9 +751,8 @@ impl<'a> TupleStream<'a> {
                     .map(|cells| cells.iter().map(|c| c.bbox()).collect())
                     .collect();
                 run_ordered(workers, units.len(), |u| {
-                    let (leaf, range) = &units[u];
                     let mut out = Vec::new();
-                    for partial in &partials[*leaf][range.clone()] {
+                    for partial in &partials[units[u]] {
                         let partial_bbox = partial.region.bbox();
                         for ((cand, cell), cell_bbox) in candidates[u]
                             .iter()
@@ -955,30 +776,20 @@ impl<'a> TupleStream<'a> {
 
             // Reassemble (unit order is leaf-major, so this is leaf order).
             let mut next: Vec<Vec<MultiwayTuple>> = vec![Vec::new(); n];
-            for ((leaf, _), ext) in units.iter().zip(extensions) {
-                next[*leaf].extend(ext);
+            for (&leaf, ext) in units.iter().zip(extensions) {
+                next[leaf].extend(ext);
             }
             partials = next;
         }
 
-        // Emit (coordinator, leaf order): replay every leaf's page traces
-        // through the real buffers, fold in the leaf's counter deltas,
-        // record progress + watermark, permute the tuple ids back to
-        // input-set order and enqueue the tuples.
+        // Emit (coordinator, leaf order): settle every leaf's read records,
+        // fold in the leaf's counter deltas, record progress + watermark,
+        // permute the tuple ids back to input-set order and enqueue the
+        // tuples.
         let identity_order = self.eval_order.iter().enumerate().all(|(r, &set)| r == set);
         for (i, leaf_tuples) in partials.into_iter().enumerate() {
-            match mode {
-                ExecMode::Metered => {
-                    for (tree_idx, trace) in &replays[i] {
-                        for &page in trace {
-                            self.source.tree_mut(*tree_idx).replay_read(page);
-                        }
-                    }
-                }
-                // Fast: no traces were recorded and nothing is replayed —
-                // the leaf's snapshot reads land on the local counter at
-                // its sequential position instead.
-                ExecMode::Fast => self.local_reads += leaf_reads[i],
+            for (tree, record) in &records[i] {
+                self.settle(*tree, record);
             }
             for s in 0..k {
                 self.counters.cells_reused[s] += reused[i][s];
@@ -1152,26 +963,26 @@ mod tests {
     }
 
     #[test]
-    fn probe_modes_agree_and_batching_probes_less() {
+    fn batching_probes_each_leaf_at_most_once_per_round() {
         let config = small_config();
         let sets = vec![
             random_points(60, 214),
             random_points(60, 215),
             random_points(60, 216),
         ];
-        let batched = multiway_cij(&sets, &config);
-        let per_tuple = multiway_cij(&sets, &config.with_multiway_probe(MultiwayProbe::PerTuple));
-        assert_eq!(batched.sorted_ids(), per_tuple.sorted_ids());
-        assert!(
-            batched.counters.filter_probes < per_tuple.counters.filter_probes,
-            "batched mode must issue fewer filter calls ({} vs {})",
-            batched.counters.filter_probes,
-            per_tuple.counters.filter_probes
+        let outcome = multiway_cij(&sets, &config);
+        assert_eq!(
+            outcome.sorted_ids(),
+            brute_force_multiway_cij(&sets, &config.domain)
         );
+        let rounds = sets.len() as u64 - 1;
+        let leaves = outcome.watermarks.len() as u64;
+        assert!(outcome.counters.filter_probes > 0);
         assert!(
-            batched.counters.filter_points_examined <= per_tuple.counters.filter_points_examined
+            outcome.counters.filter_probes <= leaves * rounds,
+            "one filter call per leaf and extension round ({} > {leaves} x {rounds})",
+            outcome.counters.filter_probes
         );
-        assert!(batched.page_accesses <= per_tuple.page_accesses);
     }
 
     #[test]

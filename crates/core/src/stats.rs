@@ -144,12 +144,8 @@ pub struct MultiwayCounters {
     pub cells_reused: Vec<u64>,
     /// Cells evicted from each set's bounded reuse buffer.
     pub cell_cache_evictions: Vec<u64>,
-    /// Conditional-filter invocations across all extension rounds (one per
-    /// probe unit — per leaf with [`MultiwayProbe::Batched`], per partial
-    /// tuple with [`MultiwayProbe::PerTuple`]).
-    ///
-    /// [`MultiwayProbe::Batched`]: crate::config::MultiwayProbe::Batched
-    /// [`MultiwayProbe::PerTuple`]: crate::config::MultiwayProbe::PerTuple
+    /// Conditional-filter invocations across all extension rounds: one per
+    /// leaf of the driving tree with live partial tuples, per round.
     pub filter_probes: u64,
     /// Points examined (heap pops) across all filter invocations.
     pub filter_points_examined: u64,

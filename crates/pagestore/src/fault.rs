@@ -15,7 +15,7 @@
 //!   or a short write that moved nothing). No bytes are accounted and the
 //!   inner backend is untouched, so the store's one retry performs the one
 //!   real transfer and every byte-level invariant survives. The schedule
-//!   never injects two consecutive faults ([`FaultBackend::just_failed`]
+//!   never injects two consecutive faults (`FaultBackend::just_failed`
 //!   guard), so a retry budget of two attempts already guarantees progress.
 //!   Some operations are additionally charged virtual latency ticks —
 //!   recorded in [`FaultStats::injected_latency_ticks`], never slept.

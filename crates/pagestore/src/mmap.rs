@@ -1,7 +1,7 @@
 //! The memory-mapped page backend: frames live in `mmap(MAP_SHARED)`
 //! segments of an unlinked temp file.
 //!
-//! [`MmapBackend`] is the third [`PageBackend`](crate::PageBackend): like
+//! [`MmapBackend`] is the third [`PageBackend`]: like
 //! [`FileBackend`](crate::FileBackend) the data lives in a real
 //! (anonymous, already-unlinked) file, but transfers are `memcpy`s against
 //! the kernel page cache instead of `read_at`/`write_at` syscalls, and

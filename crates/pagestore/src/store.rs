@@ -141,7 +141,7 @@ pub struct PageStoreConfig {
     /// Which storage backend holds the page frames.
     pub backend: StorageBackend,
     /// Optional fault-injection schedule: when set, the created backend is
-    /// wrapped in a [`FaultBackend`](crate::FaultBackend). Both default
+    /// wrapped in a [`FaultBackend`]. Both default
     /// constructors consult [`FaultSpec::from_env`], so
     /// `CIJ_FAULT_PROFILE=transient` puts every store in the process under
     /// injected faults (the CI robustness pass).

@@ -13,7 +13,7 @@
 //! `ConvexPolygon::clip_in_place`) then run straight over the coordinate
 //! slices with no per-point pointer chasing.
 //!
-//! Loading goes through [`NodeReader::visit`](crate::reader::NodeReader::visit),
+//! Loading goes through [`NodeReader::visit`],
 //! which serves the decoded node **by reference** — from the page store's
 //! in-memory image ([`PageStore::read_with`](cij_pagestore::PageStore)) or a
 //! traced snapshot — so filling the arena performs no intermediate payload
@@ -292,12 +292,13 @@ mod tests {
         let tree = sample_tree();
         tree.stats().reset();
         let root = tree.root_page();
-        let mut traced = crate::reader::TracedReader::new(&tree);
+        let mut traced = crate::reader::SnapshotReader::traced(&tree);
         let mut arena = NodeArena::for_budget(tree.config().node_byte_budget());
         arena.load(&mut traced, root);
         let first_child = arena.children()[0].page;
         arena.load(&mut traced, first_child);
         assert_eq!(traced.trace(), &[root, first_child]);
+        assert_eq!(traced.reads(), 2);
         assert_eq!(tree.stats().snapshot().logical_reads, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Synchronous-traversal spatial joins (Brinkhoff, Kriegel & Seeger).
 //!
 //! The paper's FM-CIJ algorithm finishes by running "the intersection join
-//! algorithm of [9]" between the two Voronoi R-trees. [`intersection_join`]
+//! algorithm of \[9\]" between the two Voronoi R-trees. [`intersection_join`]
 //! is that algorithm: both trees are descended simultaneously, following only
 //! entry pairs whose MBRs intersect. A refinement callback decides whether a
 //! candidate leaf pair is an actual result (for Voronoi cells: an exact

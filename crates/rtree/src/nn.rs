@@ -1,7 +1,7 @@
 //! Best-first (incremental) nearest-neighbour search.
 //!
 //! This is the "distance browsing" algorithm of Hjaltason & Samet used by the
-//! paper (reference [11]) as the traversal-order backbone of BF-VOR and of
+//! paper (reference \[11\]) as the traversal-order backbone of BF-VOR and of
 //! the conditional filter: entries are visited in ascending `mindist` from a
 //! query point by means of a min-heap.
 

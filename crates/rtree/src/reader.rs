@@ -1,23 +1,24 @@
-//! Node-read access abstraction: counted reads vs traced snapshot reads.
+//! Node-read access abstraction: counted reads vs snapshot reads.
 //!
 //! The tree-traversal algorithms (BatchVoronoi, the conditional filter, …)
 //! only ever *read* nodes. [`NodeReader`] abstracts over **how** a read is
-//! accounted, so one traversal implementation serves two execution modes:
+//! accounted, so one traversal implementation serves every execution mode:
 //!
 //! * [`RTree`] itself implements the trait with [`RTree::read_node`] — the
 //!   classic counted read through the LRU buffer, used by the sequential
 //!   algorithms.
-//! * [`TracedReader`] wraps a shared `&RTree` and serves reads from the
-//!   in-memory snapshot ([`RTree::peek_node`]) while recording the sequence
-//!   of page ids touched. Parallel NM-CIJ workers use this: several workers
-//!   can traverse the same (read-only during a join) tree concurrently, and
-//!   the coordinator later **replays** each trace through the real buffer in
+//! * [`SnapshotReader`] wraps a shared `&RTree` and serves reads from the
+//!   page store without accounting ([`RTree::try_peek_node`]), so several
+//!   workers or queries can traverse one tree (read-only during a join)
+//!   concurrently. It always counts its reads locally. Built with
+//!   [`SnapshotReader::traced`] it also records the sequence of page ids
+//!   touched: metered NM-CIJ and multiway workers use this, and the
+//!   coordinator later **replays** each trace through the real buffer in
 //!   the sequential leaf order via [`RTree::replay_read`], reproducing the
-//!   single-threaded buffer behaviour and page-access counts exactly.
-//! * [`SnapshotReader`] serves the same snapshot reads but records nothing
-//!   and shares nothing — it keeps a per-query-local read count. This is
-//!   the fast execution mode's reader; the [`probe`] counters let harnesses
-//!   verify that a fast run really recorded and replayed zero traces.
+//!   single-threaded buffer behaviour and page-access counts exactly. Built
+//!   with [`SnapshotReader::new`] it records nothing — the fast execution
+//!   mode's reader; the [`probe`] counters let harnesses verify that a fast
+//!   run really recorded and replayed zero traces.
 //!
 //! Relaxed-consistency contract: the [`probe`] counters are monotone event
 //! counts read only as deltas around quiescent regions; they gate no
@@ -31,8 +32,8 @@ use crate::tree::RTree;
 use cij_pagestore::{PageId, PageIoError};
 
 /// Process-wide probes counting the parity machinery's events — how many
-/// page reads were *trace-recorded* by a [`TracedReader`] and how many were
-/// *replayed* through [`RTree::replay_read`].
+/// page reads were *trace-recorded* by a traced [`SnapshotReader`] and how
+/// many were *replayed* through [`RTree::replay_read`].
 ///
 /// These exist so the fast execution path can be **counter-verified**: a
 /// run that claims to skip trace recording and coordinator replay proves it
@@ -47,8 +48,9 @@ pub mod probe {
     static TRACE_RECORDS: AtomicU64 = AtomicU64::new(0);
     static REPLAYS: AtomicU64 = AtomicU64::new(0);
 
-    /// Total page reads recorded into [`TracedReader`](super::TracedReader)
-    /// traces since process start.
+    /// Total page reads recorded into the traces of
+    /// [`SnapshotReader::traced`](super::SnapshotReader::traced) readers
+    /// since process start.
     pub fn trace_records() -> u64 {
         TRACE_RECORDS.load(Ordering::Relaxed)
     }
@@ -71,7 +73,7 @@ pub mod probe {
 /// Read access to the nodes of an R-tree, abstracting over accounting.
 ///
 /// Traversals written against this trait run unchanged in counted mode
-/// (`&mut RTree`) and in traced snapshot mode ([`TracedReader`]).
+/// (`&mut RTree`) and in snapshot mode ([`SnapshotReader`]).
 pub trait NodeReader<D: RTreeObject> {
     /// Page id of the root node.
     fn root_page(&self) -> PageId;
@@ -142,125 +144,89 @@ impl<D: RTreeObject> NodeReader<D> for RTree<D> {
     }
 }
 
-/// A [`NodeReader`] over a shared tree snapshot that records the page-id
-/// trace instead of touching the buffer or the counters.
+/// What a [`SnapshotReader`] hands back: how many reads it served, the
+/// page-id trace (empty unless the reader was built with
+/// [`SnapshotReader::traced`]) and the first storage error it latched.
 ///
-/// Requires only `&RTree`, so any number of traced readers can traverse one
-/// tree concurrently. The recorded trace preserves the exact access order of
-/// the traversal; replaying it through [`RTree::replay_read`] performs the
-/// deferred accounting.
-#[derive(Debug)]
-pub struct TracedReader<'a, D: RTreeObject> {
-    tree: &'a RTree<D>,
-    trace: Vec<PageId>,
-    error: Option<PageIoError>,
+/// The executors settle one record per traversal: a traced record is
+/// replayed through [`RTree::replay_read`] in sequential order, an untraced
+/// one adds `reads` to a per-query-local counter.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadRecord {
+    /// Successful node reads. Failed reads are not counted.
+    pub reads: u64,
+    /// The page ids read, in access order; always empty for an untraced
+    /// reader. A traced reader keeps `trace.len() == reads`.
+    pub trace: Vec<PageId>,
+    /// The first storage error latched by a failed read, if any.
+    pub error: Option<PageIoError>,
 }
 
-impl<'a, D: RTreeObject> TracedReader<'a, D> {
-    /// Creates a traced reader over `tree` with an empty trace.
-    pub fn new(tree: &'a RTree<D>) -> Self {
-        TracedReader {
-            tree,
-            trace: Vec::new(),
-            error: None,
-        }
-    }
-
-    /// The page ids read so far, in access order.
-    pub fn trace(&self) -> &[PageId] {
-        &self.trace
-    }
-
-    /// Consumes the reader, returning the recorded access trace.
-    pub fn into_trace(self) -> Vec<PageId> {
-        self.trace
-    }
-}
-
-impl<D: RTreeObject> NodeReader<D> for TracedReader<'_, D> {
-    fn root_page(&self) -> PageId {
-        self.tree.root_page()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    // A failed snapshot read latches the error and records *no* trace entry:
-    // replaying it would either re-fail or drift from the counted run, and
-    // the executor discards the whole failed chunk (trace included) anyway.
-
-    fn read(&mut self, page: PageId) -> Node<D> {
-        match self.tree.try_peek_node(page) {
-            Ok(guard) => {
-                probe::note_trace_record();
-                self.trace.push(page);
-                guard.clone()
-            }
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                Node::new_leaf()
-            }
-        }
-    }
-
-    fn visit(&mut self, page: PageId, f: &mut dyn FnMut(&Node<D>)) {
-        match self.tree.try_peek_node(page) {
-            Ok(guard) => {
-                probe::note_trace_record();
-                self.trace.push(page);
-                f(&guard);
-            }
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                f(&Node::new_leaf());
-            }
-        }
-    }
-
-    fn take_error(&mut self) -> Option<PageIoError> {
-        self.error.take()
-    }
-}
-
-/// A [`NodeReader`] over a shared tree snapshot that only *counts* reads in
-/// a local integer — the fast execution mode's reader.
+/// A [`NodeReader`] over a shared tree snapshot: it serves nodes from
+/// [`RTree::try_peek_node`] without touching the buffer or the shared
+/// counters, and keeps its own [`ReadRecord`].
 ///
-/// Like [`TracedReader`] it requires only `&RTree`, so any number of
-/// concurrent queries can traverse one tree; unlike it, nothing is recorded
-/// for replay and nothing is shared — the read count is a plain per-query
-/// `u64` (the "per-query-local I/O counter" of the fast mode). The count is
-/// the number of *logical snapshot reads*: with no buffer in the loop there
-/// is no hit/miss distinction to simulate.
+/// It requires only `&RTree`, so any number of readers can traverse one
+/// tree concurrently. Every reader counts its reads in a plain local `u64`.
+/// A reader built with [`SnapshotReader::traced`] also records the page-id
+/// sequence in access order, so replaying it through
+/// [`RTree::replay_read`] performs the deferred accounting of a counted
+/// run; a reader built with [`SnapshotReader::new`] records nothing and
+/// allocates nothing. The count is the number of *logical snapshot reads*:
+/// with no buffer in the loop there is no hit/miss distinction to simulate.
 #[derive(Debug)]
 pub struct SnapshotReader<'a, D: RTreeObject> {
     tree: &'a RTree<D>,
-    reads: u64,
-    error: Option<PageIoError>,
+    traced: bool,
+    record: ReadRecord,
 }
 
 impl<'a, D: RTreeObject> SnapshotReader<'a, D> {
-    /// Creates a counting snapshot reader over `tree`.
+    /// Creates a reader over `tree` that counts reads and records no trace.
     pub fn new(tree: &'a RTree<D>) -> Self {
         SnapshotReader {
             tree,
-            reads: 0,
-            error: None,
+            traced: false,
+            record: ReadRecord::default(),
+        }
+    }
+
+    /// Creates a reader over `tree` that counts reads and records their
+    /// page-id trace for a later replay.
+    pub fn traced(tree: &'a RTree<D>) -> Self {
+        SnapshotReader {
+            traced: true,
+            ..SnapshotReader::new(tree)
         }
     }
 
     /// Number of node reads performed so far.
     pub fn reads(&self) -> u64 {
-        self.reads
+        self.record.reads
     }
 
-    /// Consumes the reader, returning the read count.
-    pub fn into_reads(self) -> u64 {
-        self.reads
+    /// The page ids read so far, in access order (empty when untraced).
+    pub fn trace(&self) -> &[PageId] {
+        &self.record.trace
+    }
+
+    /// Consumes the reader, returning its read record.
+    pub fn into_record(self) -> ReadRecord {
+        self.record
+    }
+
+    fn note_read(&mut self, page: PageId) {
+        self.record.reads += 1;
+        if self.traced {
+            probe::note_trace_record();
+            self.record.trace.push(page);
+        }
+    }
+
+    fn latch(&mut self, error: PageIoError) {
+        if self.record.error.is_none() {
+            self.record.error = Some(error);
+        }
     }
 }
 
@@ -273,19 +239,19 @@ impl<D: RTreeObject> NodeReader<D> for SnapshotReader<'_, D> {
         self.tree.is_empty()
     }
 
-    // Like the traced reader, a failed snapshot read latches the error and
-    // counts nothing — the failed query's counters are discarded with it.
+    // A failed snapshot read latches the error and neither counts nor
+    // records the read: replaying it would either re-fail or drift from the
+    // counted run, and the executor discards the whole failed chunk (record
+    // included) anyway.
 
     fn read(&mut self, page: PageId) -> Node<D> {
         match self.tree.try_peek_node(page) {
             Ok(guard) => {
-                self.reads += 1;
+                self.note_read(page);
                 guard.clone()
             }
             Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
+                self.latch(e);
                 Node::new_leaf()
             }
         }
@@ -294,20 +260,18 @@ impl<D: RTreeObject> NodeReader<D> for SnapshotReader<'_, D> {
     fn visit(&mut self, page: PageId, f: &mut dyn FnMut(&Node<D>)) {
         match self.tree.try_peek_node(page) {
             Ok(guard) => {
-                self.reads += 1;
+                self.note_read(page);
                 f(&guard);
             }
             Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
+                self.latch(e);
                 f(&Node::new_leaf());
             }
         }
     }
 
     fn take_error(&mut self) -> Option<PageIoError> {
-        self.error.take()
+        self.record.error.take()
     }
 }
 
@@ -338,9 +302,10 @@ mod tests {
         tree.stats().reset();
         let root = tree.root_page();
 
-        let mut traced = TracedReader::new(&tree);
+        let mut traced = SnapshotReader::traced(&tree);
         let node = traced.read(root);
         assert_eq!(traced.trace(), &[root]);
+        assert_eq!(traced.reads(), 1);
         // Snapshot reads are free: no counter moved.
         assert_eq!(tree.stats().snapshot().logical_reads, 0);
 
@@ -350,33 +315,70 @@ mod tests {
         assert_eq!(tree.stats().snapshot().logical_reads, 1);
     }
 
+    /// The access sequence both reader tests replay: the root, each of its
+    /// children, and the root again (read and visit interleaved).
+    fn access_sequence(tree: &RTree<PointObject>) -> Vec<PageId> {
+        let root = tree.root_page();
+        let mut pages = vec![root];
+        pages.extend(tree.peek_node(root).children.iter().map(|c| c.page));
+        pages.push(root);
+        pages
+    }
+
+    fn read_all(reader: &mut SnapshotReader<'_, PointObject>, pages: &[PageId]) {
+        for (i, &page) in pages.iter().enumerate() {
+            if i % 2 == 0 {
+                let _ = NodeReader::read(reader, page);
+            } else {
+                reader.visit(page, &mut |n| assert!(!n.is_empty()));
+            }
+        }
+    }
+
     #[test]
-    fn snapshot_reader_counts_locally_and_records_nothing() {
+    fn untraced_reader_counts_locally_and_records_nothing() {
         let mut tree = sample_tree();
         tree.drop_buffer();
         tree.stats().reset();
-        let root = tree.root_page();
+        let pages = access_sequence(&tree);
+        assert!(pages.len() > 2);
 
-        let traces_before = probe::trace_records();
-        let replays_before = probe::replays();
         let mut reader = SnapshotReader::new(&tree);
-        let node = NodeReader::read(&mut reader, root);
-        let mut visited = 0usize;
-        reader.visit(root, &mut |n| {
-            visited = n.children.len();
-        });
-        assert_eq!(reader.reads(), 2, "both accesses counted locally");
-        assert_eq!(reader.into_reads(), 2);
-        // No shared counter moved, and the parity probes are untouched —
-        // this is what the fast path's "zero trace records / zero replays"
-        // verification leans on. (Other test threads may bump the probes
-        // concurrently; a traced/replayed access from *this* reader would
-        // have to raise them, so equality is only asserted when no other
-        // thread intervened.)
+        for (n, &page) in pages.iter().enumerate() {
+            read_all(&mut reader, &[page]);
+            assert_eq!(reader.reads(), n as u64 + 1, "every access is counted");
+            assert!(
+                reader.trace().is_empty(),
+                "an untraced reader records no trace"
+            );
+        }
+        let record = reader.into_record();
+        assert_eq!(record.reads, pages.len() as u64);
+        assert_eq!(
+            record.trace.capacity(),
+            0,
+            "the untraced reader never allocates"
+        );
+        assert!(record.error.is_none());
+        // No shared counter moved.
         assert_eq!(tree.stats().snapshot().logical_reads, 0);
-        let _ = (traces_before, replays_before);
-        assert_eq!(node, *tree.peek_node(root));
-        assert!(visited > 0);
+    }
+
+    #[test]
+    fn traced_reader_records_exactly_its_access_sequence() {
+        let mut tree = sample_tree();
+        tree.drop_buffer();
+        tree.stats().reset();
+        let pages = access_sequence(&tree);
+
+        let mut traced = SnapshotReader::traced(&tree);
+        read_all(&mut traced, &pages);
+        assert_eq!(traced.trace(), pages.as_slice());
+        assert_eq!(traced.reads(), traced.trace().len() as u64);
+        let record = traced.into_record();
+        assert_eq!(record.trace, pages);
+        assert_eq!(record.reads, pages.len() as u64);
+        assert_eq!(tree.stats().snapshot().logical_reads, 0);
     }
 
     #[test]
@@ -384,7 +386,7 @@ mod tests {
         let mut tree = sample_tree();
         let root = tree.root_page();
         let before = probe::trace_records();
-        let mut traced = TracedReader::new(&tree);
+        let mut traced = SnapshotReader::traced(&tree);
         let _ = NodeReader::read(&mut traced, root);
         traced.visit(root, &mut |_| {});
         assert!(
@@ -420,42 +422,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reader_latches_errors_and_counts_nothing_for_them() {
+    fn snapshot_reader_latches_errors_and_neither_counts_nor_traces_them() {
         let mut tree = sample_tree();
         tree.flush();
         tree.drop_buffer();
         let root = tree.root_page();
         tree.inject_fault(cij_pagestore::FaultSpec::corrupt_frame(root.0));
 
-        let mut reader = SnapshotReader::new(&tree);
+        let mut reader = SnapshotReader::traced(&tree);
         let node = NodeReader::read(&mut reader, root);
         assert!(node.is_leaf() && node.is_empty());
         assert_eq!(reader.reads(), 0, "failed reads are not counted");
         let mut visited_len = usize::MAX;
         reader.visit(root, &mut |n| visited_len = n.len());
         assert_eq!(visited_len, 0, "visit still runs the callback (empty leaf)");
-        let err = reader.take_error().expect("first error latched");
-        assert_eq!(err.kind, cij_pagestore::FaultKind::Corrupt);
-        assert!(reader.take_error().is_none());
-    }
-
-    #[test]
-    fn traced_reader_records_no_trace_entry_for_failed_reads() {
-        let mut tree = sample_tree();
-        tree.flush();
-        tree.drop_buffer();
-        let root = tree.root_page();
-        tree.inject_fault(cij_pagestore::FaultSpec::corrupt_frame(root.0));
-
-        let mut traced = TracedReader::new(&tree);
-        let _ = NodeReader::read(&mut traced, root);
-        traced.visit(root, &mut |_| {});
         assert!(
-            traced.trace().is_empty(),
+            reader.trace().is_empty(),
             "failed reads must not be replayed"
         );
-        assert!(traced.take_error().is_some());
-        assert!(traced.into_trace().is_empty());
+        let record = reader.into_record();
+        let err = record.error.expect("first error latched");
+        assert_eq!(err.kind, cij_pagestore::FaultKind::Corrupt);
+        assert_eq!(record.reads, 0);
     }
 
     #[test]
@@ -470,27 +458,17 @@ mod tests {
             t.stats().reset();
         }
 
-        // A small multi-node access pattern: root, then every child of it.
-        let root = live.root_page();
-        let children: Vec<PageId> = live
-            .peek_node(root)
-            .children
-            .iter()
-            .map(|c| c.page)
-            .collect();
-        let mut pattern = vec![root];
-        pattern.extend(&children);
-        pattern.push(root); // re-read to exercise buffer hits
-
+        // Root, every child of it, then the root again (a buffer hit).
+        let pattern = access_sequence(&live);
         for &page in &pattern {
             let _ = live.read_node(page);
         }
 
-        let mut traced = TracedReader::new(&replayed);
+        let mut traced = SnapshotReader::traced(&replayed);
         for &page in &pattern {
             let _ = NodeReader::read(&mut traced, page);
         }
-        let trace = traced.into_trace();
+        let trace = traced.into_record().trace;
         assert_eq!(trace, pattern);
         for page in trace {
             replayed.replay_read(page);

@@ -169,8 +169,9 @@ impl<D: RTreeObject> RTree<D> {
     }
 
     /// Reads a node without counting the access (oracles/tests only, and
-    /// the snapshot reads of [`TracedReader`](crate::reader::TracedReader)
-    /// whose accounting is deferred to [`RTree::replay_read`]).
+    /// the reads of a [`SnapshotReader`](crate::reader::SnapshotReader),
+    /// whose accounting is deferred to [`RTree::replay_read`] or to a
+    /// per-query-local counter).
     ///
     /// Returns a [`PageRef`] guard that **pins** the page in the store for
     /// its lifetime: the LRU buffer will not evict it, and a non-resident
@@ -185,10 +186,11 @@ impl<D: RTreeObject> RTree<D> {
     /// of the accounting (buffer touch, hit/miss recording, backend frame
     /// transfer on a miss, and the debug-build trace-drift assertion).
     ///
-    /// Replays the access traces recorded by
-    /// [`TracedReader`](crate::reader::TracedReader) in sequential order, so
-    /// the parallel NM-CIJ path reports the same page accesses and leaves
-    /// the same buffer state as a single-threaded run. A replayed id that
+    /// Replays the access traces recorded by a
+    /// [`SnapshotReader::traced`](crate::reader::SnapshotReader::traced)
+    /// reader in sequential order, so the chunked NM-CIJ path reports the
+    /// same page accesses and leaves the same buffer state as a
+    /// single-threaded run. A replayed id that
     /// does not exist (trace drift) panics.
     pub fn replay_read(&mut self, page: PageId) {
         crate::reader::probe::note_replay();
@@ -228,8 +230,8 @@ impl<D: RTreeObject> RTree<D> {
         self.store.try_note_read(page)
     }
 
-    /// Takes the storage error latched by the [`NodeReader`]
-    /// (crate::reader::NodeReader) impl's infallible read path, if a node
+    /// Takes the storage error latched by the
+    /// [`NodeReader`](crate::reader::NodeReader) impl's infallible read path, if a node
     /// read failed since the last call. `Some` means every traversal output
     /// produced since then is suspect and must be discarded.
     pub fn take_io_error(&mut self) -> Option<PageIoError> {

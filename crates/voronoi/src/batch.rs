@@ -176,9 +176,10 @@ pub fn batch_voronoi_cached_with<T: NodeReader<PointObject>, C: CellStore>(
 /// each other (they are part of `P`); a member never constrains itself.
 ///
 /// Generic over [`NodeReader`], so the same traversal runs in counted mode
-/// (`&mut RTree`) and in the traced snapshot mode of the parallel NM-CIJ
-/// path ([`cij_rtree::TracedReader`]); the traversal logic — and therefore
-/// the computed cells and the page-access sequence — is identical in both.
+/// (`&mut RTree`) and through the snapshot reader of the chunked NM-CIJ
+/// path ([`cij_rtree::SnapshotReader`], traced or counting); the traversal
+/// logic — and therefore the computed cells and the page-access sequence —
+/// is identical in all of them.
 pub fn batch_voronoi<T: NodeReader<PointObject>>(
     tree: &mut T,
     group: &[PointObject],

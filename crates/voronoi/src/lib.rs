@@ -8,7 +8,7 @@
 //!   pruning rule [`can_refine`] behind its O(1) reach certificate.
 //! * [`batch_voronoi`] — **BatchVoronoi** (Algorithm 2): the cells of a group
 //!   of nearby points (one R-tree leaf, in practice) in one shared traversal.
-//! * [`tp_voronoi`] — the **TP-VOR** multi-traversal baseline of [10], used
+//! * [`tp_voronoi`] — the **TP-VOR** multi-traversal baseline of \[10\], used
 //!   by Figure 5 as the comparison point for BF-VOR.
 //! * [`compute_diagram`] — the ITER / BATCH whole-diagram builders of
 //!   Section V-A, plus the [`lower_bound_io`] traversal bound LB.

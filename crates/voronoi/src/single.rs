@@ -4,7 +4,7 @@
 //! The algorithm maintains a conservative cell approximation `Vc(pi)`
 //! (initially the whole space domain) and browses the R-tree entries in
 //! ascending `mindist` from `pi` (best-first order, like the incremental NN
-//! algorithm of [11]). Each discovered point refines the cell by bisector
+//! algorithm of \[11\]). Each discovered point refines the cell by bisector
 //! clipping; Lemmas 1 and 2 prune points and subtrees that cannot refine the
 //! current cell. Every node is accessed at most once.
 //!

@@ -1,6 +1,6 @@
-//! TP-VOR: the multi-traversal Voronoi-cell baseline of Zhang et al. [10].
+//! TP-VOR: the multi-traversal Voronoi-cell baseline of Zhang et al. \[10\].
 //!
-//! The method of reference [10] refines a cell approximation by issuing a
+//! The method of reference \[10\] refines a cell approximation by issuing a
 //! time-parameterised NN query *towards each vertex* of the current
 //! approximation; every such query is an independent R-tree traversal, and
 //! the queries cannot be merged because later vertices depend on earlier
